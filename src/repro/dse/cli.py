@@ -143,16 +143,9 @@ def main(argv=None) -> int:
         "--functional-check",
         action="store_true",
         help="after the sweep, run one small bit-accurate GEMM per swept "
-        "(dtype, granularity, group size) through the kernel dispatcher "
-        "and report the backend used and max deviation from the ideal "
+        "(dtype, granularity, group size) through the kernel layer "
+        "and report the exact path used and max deviation from the ideal "
         "dequantized matmul",
-    )
-    parser.add_argument(
-        "--kernel-backend",
-        metavar="NAME",
-        default=None,
-        help="pin the kernel backend for --functional-check "
-        "(reference/numpy/fused/numba; default: dispatcher's choice)",
     )
     parser.add_argument(
         "--run-id",
@@ -293,13 +286,7 @@ def main(argv=None) -> int:
     if args.functional_check:
         from repro.dse.sweep import functional_check
 
-        try:
-            checks = functional_check(
-                result.points, backend=args.kernel_backend
-            )
-        except ValueError as e:  # unknown backend name
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+        checks = functional_check(result.points)
         print()
         print("functional spot-check (bit-accurate kernel layer):")
         for row in checks:

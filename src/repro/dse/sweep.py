@@ -317,22 +317,21 @@ def functional_check(
     d: int = 128,
     k: int = 8,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> List[dict]:
     """Spot-check swept datatypes on the bit-accurate kernel layer.
 
     The sweep itself is analytic (cycles and energy from the timing
     model) — this runs one small real GEMM per unique ``(dtype,
-    granularity, group_size)`` among ``points`` through the kernel
-    dispatcher, reporting which backend/tile executed it and the max
-    absolute deviation from the ideal dequantized matmul.  Datatypes
-    the PE rejects (asymmetric integers) are reported as skipped with
-    the rejection reason rather than failing the sweep.
+    granularity, group_size)`` among ``points`` through
+    :func:`repro.kernels.run_gemm`, reporting which exact path ran it
+    and the max absolute deviation from the ideal dequantized matmul.
+    Datatypes the PE rejects (asymmetric integers) are reported as
+    skipped with the rejection reason rather than failing the sweep.
     """
     import numpy as np
 
     from repro.hw.functional import FunctionalGemm
-    from repro.kernels.dispatch import get_dispatcher
+    from repro.kernels import select_path
     from repro.quant.packing import pack_tensor, unpack_tensor
 
     combos: Dict[Tuple[str, str, int], DesignPoint] = {}
@@ -355,27 +354,21 @@ def functional_check(
                 "granularity": granularity,
                 "group_size": group_size,
                 "backend": None,
-                "tile": None,
                 "max_abs_err": None,
                 "skipped": None,
             }
             w = rng.standard_normal((k, d))
             x = rng.standard_normal((m, d)).astype(np.float16)
-            gemm = FunctionalGemm(qc, backend=backend)
+            gemm = FunctionalGemm(qc)
             try:
                 packed = pack_tensor(w, qc)
-                chosen, tile = get_dispatcher().resolve(
-                    gemm._task(gemm._validated_shapes(x, w.shape), packed),
-                    backend=backend,
-                )
                 res = gemm.run_packed(x, packed)
             except (TypeError, ValueError) as exc:
                 row["skipped"] = str(exc)
                 out.append(row)
                 continue
             ref = x.astype(np.float64) @ unpack_tensor(packed, qc).T
-            row["backend"] = chosen.name
-            row["tile"] = None if tile is None else tile.to_dict()
+            row["backend"] = select_path(gemm._task(x, packed))
             row["max_abs_err"] = float(np.max(np.abs(res.output - ref)))
             out.append(row)
     return out

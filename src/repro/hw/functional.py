@@ -8,35 +8,26 @@ dataflow of Fig. 6 — per-group partial sums are dequantized by the
 bit-serial unit and accumulated into per-channel outputs by the column
 accumulator.
 
-:class:`FunctionalGemm` is now a *facade* over the multi-backend
-kernel layer (:mod:`repro.kernels`): it validates inputs, packages
-them as a :class:`~repro.kernels.base.GemmTask`, and hands execution
-to the kernel dispatcher, which picks among the registered backends —
-``reference`` (the original per-scalar engine, kept as ground truth),
-``numpy`` (PR 2's vectorized integer-exact engine), ``fused``
-(single-pass float32 tensor math) and ``numba`` (threaded JIT when
-numba is installed) — optionally guided by memoized autotune records.
-Every backend is bit-identical to the scalar reference (outputs,
-cycle counts and group counts), which the registry-wide property
-tests in ``tests/hw`` enforce; backend choice changes speed, never
-results.
-
-Pin a backend per instance (``FunctionalGemm(cfg, backend="numpy")``)
-or process-wide via ``$REPRO_KERNEL_BACKEND``.  Even the fastest
-backend is slower than ``x @ w_deq.T`` (that is the point: every bit
-of datapath behaviour is exercised), but it scales to real tile sizes
-and serving batch sizes, and the cycle counts it reports are
-cross-checked against the analytic timing model.
+:class:`FunctionalGemm` is a *facade* over :mod:`repro.kernels`: it
+validates inputs, packages them as a
+:class:`~repro.kernels.base.GemmTask`, and hands execution to
+:func:`repro.kernels.run_gemm`, which runs the single-pass float32
+``fused`` path when its exactness proof covers the PE config and the
+integer-exact ``numpy`` path otherwise.  Both are bit-identical to the
+scalar reference (:mod:`repro.kernels.reference` — outputs, cycle
+counts and group counts), which the property tests in ``tests/hw``
+and ``tests/kernels`` enforce.  Even the fast path is slower than
+``x @ w_deq.T`` (that is the point: every bit of datapath behaviour
+is exercised), but it scales to real tile sizes and serving batch
+sizes, and the cycle counts it reports are cross-checked against the
+analytic timing model.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
 from repro.dtypes.integer import IntegerType
-from repro.hw.bitserial import BitSerialTerm
 from repro.hw.pe import BitMoDPE, PEConfig
 from repro.hw.termtable import ASYMMETRIC_REJECT_MSG
 from repro.kernels.base import GemmExecution, GemmTask
@@ -50,17 +41,10 @@ __all__ = ["FunctionalGemm", "GemmExecution"]
 class FunctionalGemm:
     """Execute ``x @ W.T`` with bit-serial PEs on quantized weights."""
 
-    def __init__(
-        self,
-        config: QuantConfig,
-        pe_config: PEConfig = PEConfig(),
-        backend: Optional[str] = None,
-    ):
+    def __init__(self, config: QuantConfig, pe_config: PEConfig = PEConfig()):
         self.config = config
         self.dtype = config.resolve_dtype()
         self.pe = BitMoDPE(pe_config)
-        #: Kernel backend pin (None = dispatcher decides).
-        self.backend = backend
 
     # ------------------------------------------------------------------
     # Shared helpers.
@@ -85,7 +69,7 @@ class FunctionalGemm:
         )
 
     # ------------------------------------------------------------------
-    # Dispatched engines.
+    # Execution.
     # ------------------------------------------------------------------
     def run(self, x: np.ndarray, w: np.ndarray) -> GemmExecution:
         """Compute ``x @ Q(w).T`` through the PE datapath.
@@ -104,12 +88,12 @@ class FunctionalGemm:
         serving replay case) pay only the PE array arithmetic.
 
         Traced runs emit one coarse ``kernel.gemm`` span per call,
-        plus the dispatcher's ``kernel.dispatch`` span naming the
-        backend that actually ran (the disabled path costs a branch).
+        plus the ``kernel.dispatch`` span naming the path that ran
+        (the disabled path costs a branch).
         """
         self._check_supported()
         x = self._validated_shapes(x, packed.shape)
-        from repro.kernels.dispatch import get_dispatcher  # lazy: heavy deps
+        from repro.kernels import run_gemm  # lazy: repro.kernels imports repro.hw
 
         task = self._task(x, packed)
         if TRACER.enabled:
@@ -120,26 +104,5 @@ class FunctionalGemm:
                 k=int(packed.shape[0]),
                 d=int(packed.shape[1]),
             ):
-                return get_dispatcher().run(task, backend=self.backend)
-        return get_dispatcher().run(task, backend=self.backend)
-
-    # ------------------------------------------------------------------
-    # Scalar reference engine (the Fig. 6 datapath, one value at a
-    # time) — now the ``reference`` kernel backend, kept callable here
-    # as the equivalence baseline for tests.
-    # ------------------------------------------------------------------
-    def run_scalar(self, x: np.ndarray, w: np.ndarray) -> GemmExecution:
-        """Reference implementation: one PE call per (row, col, group)."""
-        from repro.kernels.reference import ReferenceBackend
-
-        x = self._validated_shapes(x, np.asarray(w).shape)
-        packed = pack_tensor(w, self.config)
-        return ReferenceBackend().run(self._task(x, packed))
-
-    def _decode_group_terms(
-        self, packed: PackedTensor, group_idx: int
-    ) -> List[List[BitSerialTerm]]:
-        """Decode one group's element codes into bit-serial terms."""
-        from repro.kernels.reference import decode_group_terms
-
-        return decode_group_terms(packed, self.dtype, group_idx)
+                return run_gemm(task)
+        return run_gemm(task)

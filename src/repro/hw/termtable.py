@@ -182,8 +182,8 @@ def decode_packed_terms(packed, dtype) -> Tuple[np.ndarray, ...]:
     tables = term_tables_for_dtype(dtype)
     token = tuple(id(t) for t in tables)
     # Local import: the kernels cache depends only on repro.obs, but
-    # importing it at module scope would cycle through repro.kernels'
-    # backend registration, which imports this module.
+    # importing it at module scope would cycle through repro.kernels,
+    # whose exact paths import this module.
     from repro.kernels.cache import decode_cache
 
     cache = decode_cache()

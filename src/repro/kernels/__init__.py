@@ -1,74 +1,56 @@
-"""repro.kernels — multi-backend execution of the bit-serial GEMM.
+"""repro.kernels — the bit-serial GEMM as one exact function.
 
 The bit-accurate functional GEMM is a contract (outputs, cycle and
-group counts bit-identical to the scalar Fig. 6 datapath); this
-package holds the implementations of that contract and the machinery
-that picks between them:
+group counts bit-identical to the scalar Fig. 6 datapath).
+:func:`run_gemm` executes it through one of two exact paths, chosen
+by a rule that depends only on the task:
 
-* :mod:`repro.kernels.base` — :class:`GemmTask` /
-  :class:`KernelBackend` interface and the backend registry;
-* :mod:`repro.kernels.reference` — the scalar ground truth;
-* :mod:`repro.kernels.vectorized` — PR 2's integer-exact numpy engine
-  (the universal fallback: any PE width);
-* :mod:`repro.kernels.fused` — single-pass float32 tensor math
-  (~6x the numpy backend single-core; requires the default 24-bit
-  accumulator, see the module docstring for the exactness proof);
-* :mod:`repro.kernels.numba_backend` — threaded JIT over the
-  word-packed layout when numba is installed, plain-Python (and
-  testable) when not;
-* :mod:`repro.kernels.cache` — the bounded LRU for per-tensor decoded
-  term arrays and backend layouts (``$REPRO_KERNEL_CACHE_MB``);
-* :mod:`repro.kernels.autotune` — searches (backend, tile) per
-  (datatype, shape-class, granularity) and memoizes winners in the
-  content-addressed store under ``tune/``;
-* :mod:`repro.kernels.dispatch` — routes every
-  :meth:`~repro.hw.functional.FunctionalGemm.run_packed` call, honors
-  ``$REPRO_KERNEL_BACKEND`` / ``$REPRO_KERNEL_AUTOTUNE``, and warns
-  once when numba is missing.
+* :mod:`repro.kernels.fused` — single-pass float32 tensor math, exact
+  for the default 24-bit accumulator (see its module docstring for
+  the proof); runs whenever ``fused.supports(task) is None``;
+* :mod:`repro.kernels.vectorized` — the integer-exact ``numpy`` path,
+  which executes any :class:`~repro.hw.pe.PEConfig` width and runs
+  every task ``fused`` declines.
+
+:mod:`repro.kernels.reference` is the scalar ground truth both are
+tested against; :mod:`repro.kernels.cache` is the bounded LRU for
+per-tensor decoded term arrays and the fused layout
+(``$REPRO_KERNEL_CACHE_MB``).
 """
 
-from repro.kernels.base import (
-    GemmExecution,
-    GemmTask,
-    KernelBackend,
-    TileSpec,
-    available_backends,
-    get_backend,
-    list_backends,
-    register_backend,
-)
+from repro import obs
+from repro.kernels.base import GemmExecution, GemmTask
 from repro.kernels.cache import DecodeCache, decode_cache, reset_decode_cache
-
-# Importing the backend modules registers them.
-from repro.kernels.reference import ReferenceBackend
-from repro.kernels.vectorized import VectorizedBackend
-from repro.kernels.fused import FusedBackend
-from repro.kernels.numba_backend import HAVE_NUMBA, NumbaBackend
-from repro.kernels.autotune import TUNE_KIND, TUNE_SCHEMA_VERSION, Autotuner, shape_class
-from repro.kernels.dispatch import KernelDispatcher, get_dispatcher, reset_dispatcher
+from repro.kernels import fused, vectorized
 
 __all__ = [
-    "Autotuner",
     "DecodeCache",
-    "FusedBackend",
     "GemmExecution",
     "GemmTask",
-    "HAVE_NUMBA",
-    "KernelBackend",
-    "KernelDispatcher",
-    "NumbaBackend",
-    "ReferenceBackend",
-    "TileSpec",
-    "TUNE_KIND",
-    "TUNE_SCHEMA_VERSION",
-    "VectorizedBackend",
-    "available_backends",
     "decode_cache",
-    "get_backend",
-    "get_dispatcher",
-    "list_backends",
-    "register_backend",
     "reset_decode_cache",
-    "reset_dispatcher",
-    "shape_class",
+    "run_gemm",
+    "select_path",
 ]
+
+_PATHS = {"fused": fused.run, "numpy": vectorized.run}
+
+
+def select_path(task: GemmTask) -> str:
+    """``"fused"`` when the float32 proof covers ``task``, else ``"numpy"``."""
+    return "fused" if fused.supports(task) is None else "numpy"
+
+
+def run_gemm(task: GemmTask) -> GemmExecution:
+    """Execute ``task`` on its exact path, counted and (when tracing)
+    spanned under ``kernel.dispatch`` with the path as ``backend``."""
+    path = select_path(task)
+    obs.counter("kernels.dispatch", backend=path).inc()
+    if obs.trace_enabled():
+        m, k, d, *_ = task.geometry()
+        with obs.span(
+            "kernel.dispatch", backend=path,
+            dtype=task.packed.dtype_name, m=m, k=k, d=d,
+        ):
+            return _PATHS[path](task)
+    return _PATHS[path](task)

@@ -1,50 +1,31 @@
-"""Kernel backend interface: one GEMM task, many implementations.
+"""The GEMM contract: one task in, one execution out.
 
 The bit-accurate GEMM of :class:`repro.hw.functional.FunctionalGemm`
 is a *contract* — given FP16 activations and a packed weight image it
 must produce the exact outputs, cycle counts and group counts of the
 scalar Fig. 6 datapath — and this module separates that contract from
 how it is computed.  A :class:`GemmTask` bundles one GEMM's inputs; a
-:class:`KernelBackend` executes it; the registry maps backend names to
-singleton instances so the dispatcher (:mod:`repro.kernels.dispatch`)
-and the autotuner (:mod:`repro.kernels.autotune`) can enumerate and
-rank them.
+:class:`GemmExecution` is what every path returns for it.
 
-Backends self-describe in two dimensions:
+The scalar :mod:`~repro.kernels.reference`, the integer-exact
+:mod:`~repro.kernels.vectorized` path and the float32
+:mod:`~repro.kernels.fused` path are all held to the bit-identity
+property tests in ``tests/hw`` and ``tests/kernels``: identical
+outputs, ``pe_cycles`` and ``groups_processed`` for every datatype.
 
-* :meth:`KernelBackend.available` — can this backend run at all in
-  the current process (e.g. the numba backend without numba installed
-  reports ``False`` and the dispatcher falls back);
-* :meth:`KernelBackend.supports` — can it run *this* task exactly
-  (e.g. the fused float32 backend requires the default 24-bit
-  accumulator; exotic :class:`~repro.hw.pe.PEConfig` widths fall back
-  to the numpy backend, which handles any width).
-
-Every registered backend is held to the registry-wide bit-identity
-property tests in ``tests/hw``: identical outputs, ``pe_cycles`` and
-``groups_processed`` to the scalar reference for every datatype.
-
-This module is import-light on purpose (numpy only): backends and the
-:mod:`repro.hw` layer both import it, so it must not import either.
+This module is import-light on purpose (numpy only): the kernel paths
+and the :mod:`repro.hw` layer both import it, so it must not import
+either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Tuple
 
 import numpy as np
 
-__all__ = [
-    "GemmExecution",
-    "GemmTask",
-    "TileSpec",
-    "KernelBackend",
-    "register_backend",
-    "get_backend",
-    "list_backends",
-    "available_backends",
-]
+__all__ = ["GemmExecution", "GemmTask"]
 
 
 @dataclass
@@ -56,38 +37,13 @@ class GemmExecution:
     groups_processed: int
 
 
-@dataclass(frozen=True)
-class TileSpec:
-    """A backend tuning point: blocking shape + thread count.
-
-    ``k_chunk`` is the number of output channels (weight rows) a
-    blocked backend processes per pass — the knob that trades working
-    set size against loop overhead.  ``0`` means "no blocking"
-    (backend default).  ``threads`` only matters to threaded backends;
-    single-threaded ones ignore it.
-    """
-
-    k_chunk: int = 0
-    threads: int = 1
-
-    def to_dict(self) -> dict:
-        return {"k_chunk": self.k_chunk, "threads": self.threads}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TileSpec":
-        return cls(
-            k_chunk=int(doc.get("k_chunk", 0)),
-            threads=int(doc.get("threads", 1)),
-        )
-
-
 @dataclass
 class GemmTask:
     """One functional GEMM: validated activations x a packed image.
 
     ``x`` is ``(M, D)`` float16 (already validated by the caller —
     :class:`~repro.hw.functional.FunctionalGemm` keeps shape/dtype
-    policing in one place so every backend sees identical inputs),
+    policing in one place so every path sees identical inputs),
     ``packed`` a :class:`~repro.quant.packing.PackedTensor`, ``dtype``
     its resolved registry datatype, and ``pe_config`` the PE datapath
     widths the execution must be bit-faithful to.
@@ -129,70 +85,3 @@ class GemmTask:
         """Per-group scaling-factor codes as ``(K, groups_per_channel)``."""
         m, k, d, g, gpc, pad = self.geometry()
         return np.asarray(self.packed.sf_codes, dtype=np.int64).reshape(k, gpc)
-
-
-class KernelBackend:
-    """One way of executing a :class:`GemmTask` bit-exactly.
-
-    Subclasses set ``name`` (the registry key, also what
-    ``$REPRO_KERNEL_BACKEND`` selects) and ``priority`` (higher wins
-    when the dispatcher picks a default without a tuned record).
-    """
-
-    #: Registry key (``reference``, ``numpy``, ``fused``, ``numba``).
-    name: str = "?"
-    #: Default-dispatch rank; the fastest expected backend is highest.
-    priority: int = 0
-
-    @classmethod
-    def available(cls) -> bool:
-        """Whether the backend can run in this process at all."""
-        return True
-
-    def supports(self, task: GemmTask) -> Optional[str]:
-        """``None`` when the backend can run ``task`` bit-exactly,
-        else a human-readable reason (the dispatcher falls back)."""
-        return None
-
-    def default_tile(self, task: GemmTask) -> TileSpec:
-        """The untuned tile this backend runs when no record exists."""
-        return TileSpec()
-
-    def candidate_tiles(self, task: GemmTask) -> List[TileSpec]:
-        """Tiles the autotuner should time for this backend."""
-        return [self.default_tile(task)]
-
-    def run(self, task: GemmTask, tile: Optional[TileSpec] = None) -> GemmExecution:
-        raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# Registry.
-# ----------------------------------------------------------------------
-
-_REGISTRY: Dict[str, KernelBackend] = {}
-
-
-def register_backend(cls: Type[KernelBackend]) -> Type[KernelBackend]:
-    """Class decorator: instantiate and register a backend by name."""
-    inst = cls()
-    _REGISTRY[inst.name] = inst
-    return cls
-
-
-def get_backend(name: str) -> KernelBackend:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(f"unknown kernel backend {name!r}; known: {known}") from None
-
-
-def list_backends() -> List[str]:
-    """All registered backend names, highest priority first."""
-    return sorted(_REGISTRY, key=lambda n: -_REGISTRY[n].priority)
-
-
-def available_backends() -> List[str]:
-    """Registered backends that can run in this process, best first."""
-    return [n for n in list_backends() if _REGISTRY[n].available()]

@@ -1,4 +1,4 @@
-"""The ``fused`` backend: the whole datapath as float32 array math.
+"""The ``fused`` path: the whole datapath as float32 array math.
 
 The scalar PE accumulator (:meth:`repro.hw.pe.BitMoDPE._accumulate`)
 aligns two fixed-point operands to a common exponent, adds exactly,
@@ -16,7 +16,7 @@ facts make the replacement exact rather than approximate:
   bounded by the FP16 activation exponent range plus small term
   shifts, far from both 2**127 and 2**-126.
 
-So this backend runs the entire GEMM as fused numpy float32 tensor
+So this path runs the entire GEMM as fused numpy float32 tensor
 ops — no int64 alignment loops, no per-step Python — and remains
 bit-identical to the scalar reference:
 
@@ -36,7 +36,8 @@ Per-tensor term layouts (transposed for contiguous lane access) are
 prepared once and memoized in the bounded
 :class:`~repro.kernels.cache.DecodeCache`.  PE configs the proof does
 not cover (non-24-bit accumulators, wide guard/lane products) are
-declined via :meth:`supports` and fall back to the ``numpy`` backend.
+declined by :func:`supports` and run on the integer-exact ``numpy``
+path instead (:func:`repro.kernels.run_gemm`).
 """
 
 from __future__ import annotations
@@ -47,22 +48,20 @@ import numpy as np
 
 from repro.dtypes.floating import fp16_decompose
 from repro.hw.termtable import decode_packed_terms, term_tables_for_dtype
-from repro.kernels.base import (
-    GemmExecution,
-    GemmTask,
-    KernelBackend,
-    TileSpec,
-    register_backend,
-)
+from repro.kernels.base import GemmExecution, GemmTask
 from repro.kernels.cache import decode_cache
 
-__all__ = ["FusedBackend"]
+__all__ = ["K_CHUNK", "run", "supports"]
 
 #: FP16 value = mantissa * 2**(exp - 25)  (see repro.dtypes.floating).
 _FP16_EXP_OFFSET = 15 + 10
 
 #: Largest FP16 mantissa including the hidden bit (11 bits).
 _FP16_MAN_MAX = (1 << 11) - 1
+
+#: K-blocking keeps the (m, K_CHUNK, blocks, n_terms, lanes)
+#: intermediates L2-resident; 64 is a good single-core default.
+K_CHUNK = 64
 
 
 def _prepare(task: GemmTask):
@@ -94,98 +93,81 @@ def _prepare(task: GemmTask):
     return cache.put(packed, "fused", token, (te, tms))
 
 
-@register_backend
-class FusedBackend(KernelBackend):
+def supports(task: GemmTask) -> Optional[str]:
+    """``None`` when the float32 proof covers ``task``, else the reason."""
+    cfg = task.pe_config
+    if task.packed.zeros is not None:
+        return "asymmetric containers skip dequantization (scalar semantics)"
+    if cfg.acc_mantissa_bits != 24:
+        return (
+            f"float32 accumulation requires a 24-bit accumulator "
+            f"(config has {cfg.acc_mantissa_bits})"
+        )
+    if cfg.guard_bits < 0 or (
+        cfg.lanes * (_FP16_MAN_MAX << max(cfg.guard_bits, 0)) >= 1 << 24
+    ):
+        return "per-step lane sum would exceed the float32 mantissa"
+    return None
+
+
+def run(task: GemmTask) -> GemmExecution:
     """Single-pass float32 execution of the bit-serial datapath."""
+    cfg = task.pe_config
+    lanes = int(cfg.lanes)
+    guard = int(cfg.guard_bits)
+    m, k, _d, g, gpc, _pad = task.geometry()
+    if g % lanes:
+        raise ValueError(f"group size must be a multiple of {lanes}")
+    sf = task.sf_codes()
+    if sf.size and (int(sf.min()) < 0 or int(sf.max()) >= 1 << cfg.sf_bits):
+        raise ValueError(f"scaling factor must fit in {cfg.sf_bits} bits")
+    chan_scales = task.channel_scales()
+    te, tms = _prepare(task)
+    n_terms = te.shape[2]
+    bpg = g // lanes
+    spg = bpg * n_terms  # PE cycles per group (steps)
 
-    name = "fused"
-    priority = 20
+    x = task.padded_x()
+    a_sign, a_exp, a_man = fp16_decompose(x)
+    blocks = gpc * g // lanes
+    ae = a_exp.astype(np.int8).reshape(m, blocks, 1, lanes)
+    amf = a_man.astype(np.float32) * (1.0 - 2.0 * a_sign.astype(np.float32))
+    amf *= float(1 << guard)
+    amf = amf.reshape(m, blocks, 1, lanes)
 
-    #: K-blocking keeps the (m, k_chunk, blocks, n_terms, lanes)
-    #: intermediates L2-resident; 64 is a good single-core default.
-    DEFAULT_K_CHUNK = 64
-
-    def supports(self, task: GemmTask) -> Optional[str]:
-        cfg = task.pe_config
-        if task.packed.zeros is not None:
-            return "asymmetric containers skip dequantization (scalar semantics)"
-        if cfg.acc_mantissa_bits != 24:
-            return (
-                f"float32 accumulation requires a 24-bit accumulator "
-                f"(config has {cfg.acc_mantissa_bits})"
-            )
-        if cfg.guard_bits < 0 or (
-            cfg.lanes * (_FP16_MAN_MAX << max(cfg.guard_bits, 0)) >= 1 << 24
-        ):
-            return "per-step lane sum would exceed the float32 mantissa"
-        return None
-
-    def default_tile(self, task: GemmTask) -> TileSpec:
-        return TileSpec(k_chunk=self.DEFAULT_K_CHUNK, threads=1)
-
-    def candidate_tiles(self, task: GemmTask):
-        return [TileSpec(k_chunk=kc, threads=1) for kc in (32, 64, 128)]
-
-    def run(self, task: GemmTask, tile: Optional[TileSpec] = None) -> GemmExecution:
-        cfg = task.pe_config
-        lanes = int(cfg.lanes)
-        guard = int(cfg.guard_bits)
-        m, k, _d, g, gpc, _pad = task.geometry()
-        if g % lanes:
-            raise ValueError(f"group size must be a multiple of {lanes}")
-        sf = task.sf_codes()
-        if sf.size and (int(sf.min()) < 0 or int(sf.max()) >= 1 << cfg.sf_bits):
-            raise ValueError(f"scaling factor must fit in {cfg.sf_bits} bits")
-        chan_scales = task.channel_scales()
-        te, tms = _prepare(task)
-        n_terms = te.shape[2]
-        bpg = g // lanes
-        spg = bpg * n_terms  # PE cycles per group (steps)
-        k_chunk = tile.k_chunk if tile is not None and tile.k_chunk > 0 else (
-            self.DEFAULT_K_CHUNK
+    acc = np.zeros((m, k, gpc), dtype=np.float32)
+    for k0 in range(0, k, K_CHUNK):
+        k1 = min(k0 + K_CHUNK, k)
+        # Lane exponents and products for every (row, step, lane).
+        e = ae[:, None] + te[None, k0:k1]  # (m, kc, blocks, T, lanes) i8
+        emax = e.max(axis=-1)
+        sh = np.subtract(e, emax[..., None], dtype=np.int32)  # <= 0
+        prod = amf[:, None] * tms[None, k0:k1]
+        al = np.ldexp(prod, sh)  # exact: power-of-two scaling
+        np.rint(al, out=al)  # RNE alignment == _rshift_rne
+        tot = al.sum(axis=-1, dtype=np.float32)  # integer-exact
+        sv = np.ldexp(
+            tot, np.subtract(emax, guard + _FP16_EXP_OFFSET, dtype=np.int32)
         )
+        sv = sv.reshape(m, k1 - k0, gpc, spg)
+        a = acc[:, k0:k1]
+        # Sequential float32 adds in the scalar step order
+        # (block-major, term-minor) — each IS the 24-bit RNE
+        # accumulator renormalization.
+        for s in range(spg):
+            a += sv[..., s]
 
-        x = task.padded_x()
-        a_sign, a_exp, a_man = fp16_decompose(x)
-        blocks = gpc * g // lanes
-        ae = a_exp.astype(np.int8).reshape(m, blocks, 1, lanes)
-        amf = a_man.astype(np.float32) * (1.0 - 2.0 * a_sign.astype(np.float32))
-        amf *= float(1 << guard)
-        amf = amf.reshape(m, blocks, 1, lanes)
+    # Bit-serial dequantization: partial * sf, one set bit at a time.
+    acc2 = np.zeros_like(acc)
+    for i in range(int(cfg.sf_bits)):
+        bit = ((sf >> i) & 1) == 1  # (k, gpc)
+        acc2 = np.where(bit[None], acc2 + np.ldexp(acc, i), acc2)
 
-        acc = np.zeros((m, k, gpc), dtype=np.float32)
-        for k0 in range(0, k, k_chunk):
-            k1 = min(k0 + k_chunk, k)
-            # Lane exponents and products for every (row, step, lane).
-            e = ae[:, None] + te[None, k0:k1]  # (m, kc, blocks, T, lanes) i8
-            emax = e.max(axis=-1)
-            sh = np.subtract(e, emax[..., None], dtype=np.int32)  # <= 0
-            prod = amf[:, None] * tms[None, k0:k1]
-            al = np.ldexp(prod, sh)  # exact: power-of-two scaling
-            np.rint(al, out=al)  # RNE alignment == _rshift_rne
-            tot = al.sum(axis=-1, dtype=np.float32)  # integer-exact
-            sv = np.ldexp(
-                tot, np.subtract(emax, guard + _FP16_EXP_OFFSET, dtype=np.int32)
-            )
-            sv = sv.reshape(m, k1 - k0, gpc, spg)
-            a = acc[:, k0:k1]
-            # Sequential float32 adds in the scalar step order
-            # (block-major, term-minor) — each IS the 24-bit RNE
-            # accumulator renormalization.
-            for s in range(spg):
-                a += sv[..., s]
-
-        # Bit-serial dequantization: partial * sf, one set bit at a time.
-        acc2 = np.zeros_like(acc)
-        for i in range(int(cfg.sf_bits)):
-            bit = ((sf >> i) & 1) == 1  # (k, gpc)
-            acc2 = np.where(bit[None], acc2 + np.ldexp(acc, i), acc2)
-
-        out = np.zeros((m, k))
-        for gc in range(gpc):
-            out += acc2[:, :, gc].astype(np.float64) * chan_scales[None, :]
-        return GemmExecution(
-            output=out,
-            pe_cycles=m * k * gpc * spg,
-            groups_processed=m * k * gpc,
-        )
+    out = np.zeros((m, k))
+    for gc in range(gpc):
+        out += acc2[:, :, gc].astype(np.float64) * chan_scales[None, :]
+    return GemmExecution(
+        output=out,
+        pe_cycles=m * k * gpc * spg,
+        groups_processed=m * k * gpc,
+    )

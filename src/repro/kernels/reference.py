@@ -1,17 +1,17 @@
-"""The scalar reference backend: one PE call per (row, col, group).
+"""The scalar reference: one PE call per (row, col, group).
 
 This is the original per-scalar engine of
 :class:`repro.hw.functional.FunctionalGemm` — the Fig. 6 datapath one
 value at a time, decoding each group's codes through the scalar
 codecs of :mod:`repro.hw.bitserial`.  It is deliberately slow and
-deliberately untouched by the faster backends' layout tricks: it is
-the ground truth every other backend's bit-identity is tested
-against.
+deliberately untouched by the faster paths' layout tricks: it is the
+ground truth the ``fused`` and ``numpy`` paths' bit-identity is
+tested against, and tests call :func:`run` directly.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -21,15 +21,9 @@ from repro.dtypes.integer import IntegerType
 from repro.hw.bitserial import BitSerialTerm, booth_encode, fixed_point_decompose
 from repro.hw.pe import BitMoDPE
 from repro.hw.termtable import ASYMMETRIC_REJECT_MSG
-from repro.kernels.base import (
-    GemmExecution,
-    GemmTask,
-    KernelBackend,
-    TileSpec,
-    register_backend,
-)
+from repro.kernels.base import GemmExecution, GemmTask
 
-__all__ = ["ReferenceBackend", "decode_group_terms", "rows_per_channel"]
+__all__ = ["decode_group_terms", "rows_per_channel", "run"]
 
 
 def decode_group_terms(packed, dtype, group_idx: int) -> List[List[BitSerialTerm]]:
@@ -63,51 +57,40 @@ def rows_per_channel(packed, k: int) -> int:
     return max(1, packed.sf_codes.size // max(1, packed.channel_scales.size))
 
 
-@register_backend
-class ReferenceBackend(KernelBackend):
-    """The scalar ground-truth engine (never picked by default)."""
+def run(task: GemmTask) -> GemmExecution:
+    """Execute ``task`` on the scalar Fig. 6 datapath."""
+    packed = task.packed
+    pe = BitMoDPE(task.pe_config)
+    x = task.x
+    m = x.shape[0]
+    k, d = packed.shape
+    g = packed.group_size
+    groups_per_channel = (d + g - 1) // g
+    pad = groups_per_channel * g - d
+    if pad:
+        x = np.pad(x, ((0, 0), (0, pad)))
 
-    name = "reference"
-    priority = -100
-
-    def supports(self, task: GemmTask) -> Optional[str]:
-        if task.packed.zeros is not None:
-            return "the bit-serial PE does not execute zero-point containers"
-        return None
-
-    def run(self, task: GemmTask, tile: Optional[TileSpec] = None) -> GemmExecution:
-        packed = task.packed
-        pe = BitMoDPE(task.pe_config)
-        x = task.x
-        m = x.shape[0]
-        k, d = packed.shape
-        g = packed.group_size
-        groups_per_channel = (d + g - 1) // g
-        pad = groups_per_channel * g - d
-        if pad:
-            x = np.pad(x, ((0, 0), (0, pad)))
-
-        out = np.zeros((m, k))
-        pe_cycles = 0
-        groups = 0
-        for row in range(k):
-            for mi in range(m):
-                acc = 0.0  # column accumulator (FP16-precision output)
-                for gc in range(groups_per_channel):
-                    gidx = row * groups_per_channel + gc
-                    terms = decode_group_terms(packed, task.dtype, gidx)
-                    acts = x[mi, gc * g: (gc + 1) * g]
-                    partial = pe.group_dot(terms, acts)
-                    sf_code = int(packed.sf_codes[gidx])
-                    if packed.zeros is None:
-                        deq = pe.dequantize(partial, sf_code)
-                        chan_scale = float(
-                            packed.channel_scales[
-                                gidx // rows_per_channel(packed, k)
-                            ]
-                        )
-                        acc += deq.value * chan_scale
-                        pe_cycles += partial.cycles  # dequant overlaps
-                    groups += 1
-                out[mi, row] = acc
-        return GemmExecution(output=out, pe_cycles=pe_cycles, groups_processed=groups)
+    out = np.zeros((m, k))
+    pe_cycles = 0
+    groups = 0
+    for row in range(k):
+        for mi in range(m):
+            acc = 0.0  # column accumulator (FP16-precision output)
+            for gc in range(groups_per_channel):
+                gidx = row * groups_per_channel + gc
+                terms = decode_group_terms(packed, task.dtype, gidx)
+                acts = x[mi, gc * g: (gc + 1) * g]
+                partial = pe.group_dot(terms, acts)
+                sf_code = int(packed.sf_codes[gidx])
+                if packed.zeros is None:
+                    deq = pe.dequantize(partial, sf_code)
+                    chan_scale = float(
+                        packed.channel_scales[
+                            gidx // rows_per_channel(packed, k)
+                        ]
+                    )
+                    acc += deq.value * chan_scale
+                    pe_cycles += partial.cycles  # dequant overlaps
+                groups += 1
+            out[mi, row] = acc
+    return GemmExecution(output=out, pe_cycles=pe_cycles, groups_processed=groups)

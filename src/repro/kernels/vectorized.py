@@ -1,4 +1,4 @@
-"""The ``numpy`` backend: PR 2's vectorized integer-exact engine.
+"""The ``numpy`` path: the vectorized integer-exact engine.
 
 The packed tensor is decoded once into dense term arrays
 (:func:`repro.hw.termtable.decode_packed_terms`, memoized in the
@@ -7,70 +7,48 @@ tile advances through :meth:`repro.hw.pe.BitMoDPE.group_dot_batch`
 one group column at a time — exact int64 (or arbitrary-precision
 object-array) accumulator arithmetic, so it executes *any*
 :class:`~repro.hw.pe.PEConfig` width bit-faithfully.  That generality
-is why it is the universal fallback the faster, width-specialized
-backends defer to.
+is why it runs every task the width-specialized ``fused`` path
+declines (see :func:`repro.kernels.run_gemm`).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.hw.pe import BitMoDPE
 from repro.hw.termtable import decode_packed_terms
-from repro.kernels.base import (
-    GemmExecution,
-    GemmTask,
-    KernelBackend,
-    TileSpec,
-    register_backend,
-)
+from repro.kernels.base import GemmExecution, GemmTask
 
-__all__ = ["VectorizedBackend"]
+__all__ = ["run"]
 
 
-@register_backend
-class VectorizedBackend(KernelBackend):
+def run(task: GemmTask) -> GemmExecution:
     """Batched group-dot execution over dense decoded term arrays."""
+    packed = task.packed
+    pe = BitMoDPE(task.pe_config)
+    m, k, d, g, gpc, _pad = task.geometry()
+    x = task.padded_x()
 
-    name = "numpy"
-    priority = 10
+    sign, exp, man, bsig = decode_packed_terms(packed, task.dtype)
+    shape = (k, gpc, g, -1)
+    sign, exp, man, bsig = (
+        a.reshape(shape) for a in (sign, exp, man, bsig)
+    )
+    sf_codes = task.sf_codes()
+    chan_scales = task.channel_scales()
 
-    def supports(self, task: GemmTask) -> Optional[str]:
-        if task.packed.zeros is not None:
-            # Matches the scalar PE's TypeError semantics: callers see
-            # the rejection in FunctionalGemm before dispatch; here it
-            # keeps the autotuner from timing an un-runnable candidate.
-            return "the bit-serial PE does not execute zero-point containers"
-        return None
-
-    def run(self, task: GemmTask, tile: Optional[TileSpec] = None) -> GemmExecution:
-        packed = task.packed
-        pe = BitMoDPE(task.pe_config)
-        m, k, d, g, gpc, _pad = task.geometry()
-        x = task.padded_x()
-
-        sign, exp, man, bsig = decode_packed_terms(packed, task.dtype)
-        shape = (k, gpc, g, -1)
-        sign, exp, man, bsig = (
-            a.reshape(shape) for a in (sign, exp, man, bsig)
+    out = np.zeros((m, k))
+    pe_cycles = 0
+    groups = 0
+    for gc in range(gpc):
+        acts = x[:, gc * g : (gc + 1) * g]
+        partial = pe.group_dot_batch(
+            sign[:, gc], exp[:, gc], man[:, gc], bsig[:, gc], acts
         )
-        sf_codes = task.sf_codes()
-        chan_scales = task.channel_scales()
-
-        out = np.zeros((m, k))
-        pe_cycles = 0
-        groups = 0
-        for gc in range(gpc):
-            acts = x[:, gc * g : (gc + 1) * g]
-            partial = pe.group_dot_batch(
-                sign[:, gc], exp[:, gc], man[:, gc], bsig[:, gc], acts
-            )
-            deq = pe.dequantize_batch(partial, sf_codes[None, :, gc])
-            # Same float64 accumulation order as the scalar column
-            # accumulator: one += per group column, ascending gc.
-            out += deq.value * chan_scales[None, :]
-            pe_cycles += m * k * partial.cycles  # dequant overlaps
-            groups += m * k
-        return GemmExecution(output=out, pe_cycles=pe_cycles, groups_processed=groups)
+        deq = pe.dequantize_batch(partial, sf_codes[None, :, gc])
+        # Same float64 accumulation order as the scalar column
+        # accumulator: one += per group column, ascending gc.
+        out += deq.value * chan_scales[None, :]
+        pe_cycles += m * k * partial.cycles  # dequant overlaps
+        groups += m * k
+    return GemmExecution(output=out, pe_cycles=pe_cycles, groups_processed=groups)

@@ -128,7 +128,6 @@ def functional_replay(
     batch_size: int,
     layers: Optional[Sequence[str]] = None,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> List[FunctionalReplay]:
     """Replay packed linears through the bit-accurate PE datapath.
 
@@ -138,10 +137,6 @@ def functional_replay(
     bounded kernel decode cache) and multiplied against random FP16
     activations by :class:`~repro.hw.functional.FunctionalGemm`; the
     result is validated against the dequantized-matmul reference.
-
-    ``backend`` pins a kernel backend by name (``None`` lets the
-    dispatcher pick — every backend is bit-identical, so this only
-    changes replay speed).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -150,9 +145,7 @@ def functional_replay(
     out: List[FunctionalReplay] = []
     for name in names:
         packed = artifact.packed[name]
-        gemm = FunctionalGemm(
-            artifact.tensor_config(name), PEConfig(), backend=backend
-        )
+        gemm = FunctionalGemm(artifact.tensor_config(name), PEConfig())
         k, d = packed.shape
         x = rng.standard_normal((batch_size, d)).astype(np.float16)
         res = gemm.run_packed(x, packed)

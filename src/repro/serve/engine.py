@@ -132,13 +132,11 @@ class InferenceEngine:
         batch_size: int,
         layers=None,
         seed: int = 0,
-        backend=None,
     ):
         """Push batched activations through the bit-accurate PE datapath
         against this engine's packed weight images (see
-        :func:`repro.serve.bridge.functional_replay`).  ``backend``
-        pins a kernel backend by name.  Requires the engine to have
-        been built from an artifact."""
+        :func:`repro.serve.bridge.functional_replay`).  Requires the
+        engine to have been built from an artifact."""
         if self.artifact is None:
             raise RuntimeError(
                 "functional replay needs the packed artifact; build the "
@@ -147,7 +145,7 @@ class InferenceEngine:
         from repro.serve.bridge import functional_replay
 
         return functional_replay(
-            self.artifact, batch_size, layers=layers, seed=seed, backend=backend
+            self.artifact, batch_size, layers=layers, seed=seed
         )
 
     # ------------------------------------------------------------------

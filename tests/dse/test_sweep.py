@@ -228,6 +228,6 @@ class TestFunctionalCheck:
         assert "zero-point" in rows[0]["skipped"]
         assert rows[0]["backend"] is None
 
-    def test_backend_pin_respected(self):
-        rows = functional_check([self._point("bitmod_fp4")], backend="numpy")
-        assert rows[0]["backend"] == "numpy"
+    def test_default_pe_reports_fused_path(self):
+        rows = functional_check([self._point("bitmod_fp4")])
+        assert rows[0]["backend"] == "fused"

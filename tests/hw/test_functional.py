@@ -7,19 +7,23 @@ from hypothesis import strategies as st
 
 from repro.dtypes.registry import list_dtypes
 from repro.hw.functional import FunctionalGemm
+from repro.hw.pe import PEConfig
 from repro.hw.timing import gemm_compute_cycles
-from repro.kernels import list_backends
-from repro.kernels.base import GemmTask
+from repro.kernels import reference, select_path
 from repro.kernels.cache import decode_cache
-from repro.kernels.numba_backend import NumbaBackend
 from repro.quant.config import QuantConfig, quantize_tensor
 from repro.quant.packing import pack_tensor
 
-#: Every registered backend, whether or not it is available here: the
-#: dispatcher must run each one bit-identically (unavailable choices —
-#: e.g. "numba" without numba installed — exercise the fallback path,
-#: which must also be bit-identical).
-ALL_BACKENDS = list_backends()
+#: Named PE configs and the exact path each one selects.  ``fused``
+#: needs a 24-bit accumulator whose per-step lane sum fits a float32
+#: mantissa; a narrower accumulator or a wider lane sum runs the
+#: integer-exact ``numpy`` path.
+PE_CASES = {
+    "fused": ("fused", PEConfig()),
+    "fused-lanes8-guard0": ("fused", PEConfig(lanes=8, guard_bits=0)),
+    "numpy": ("numpy", PEConfig(acc_mantissa_bits=20)),
+    "numpy-wide-lane-sum": ("numpy", PEConfig(lanes=8, guard_bits=12)),
+}
 
 
 @pytest.fixture
@@ -100,6 +104,12 @@ class TestFunctionalGemm:
             gemm.run(rng.standard_normal((2, 128, 2)).astype(np.float16), w)
 
 
+def _reference(gemm, x, w):
+    """The scalar ground truth for ``gemm.run(x, w)``."""
+    x = gemm._validated_shapes(x, np.asarray(w).shape)
+    return reference.run(gemm._task(x, pack_tensor(w, gemm.config)))
+
+
 def _assert_same_execution(a, b):
     np.testing.assert_array_equal(a.output, b.output)
     assert a.pe_cycles == b.pe_cycles
@@ -107,31 +117,30 @@ def _assert_same_execution(a, b):
 
 
 class TestVectorizedEquivalence:
-    """Every kernel backend must be bit-identical to the scalar
-    reference — values, cycle counts and group counts — for every
-    registry datatype, including matching rejection behaviour.
-
-    Backends are selected through the dispatcher (``backend=`` pin),
-    so pinning an unavailable backend (e.g. "numba" here without
-    numba) also proves the fallback path preserves bit identity.
+    """Both exact paths must be bit-identical to the scalar reference —
+    values, cycle counts and group counts — for every registry
+    datatype, including matching rejection behaviour.  Each path is
+    reached through :class:`FunctionalGemm` with PE configs that
+    select it.
     """
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("case", sorted(PE_CASES))
     @pytest.mark.parametrize("dtype", list_dtypes())
     def test_registry_dtype_bit_identical_or_same_rejection(
-        self, rng, dtype, backend
+        self, rng, dtype, case
     ):
+        path, pe_config = PE_CASES[case]
         w = rng.standard_normal((3, 64))
         x = rng.standard_normal((2, 64)).astype(np.float16)
-        gemm = FunctionalGemm(
-            QuantConfig(dtype=dtype, group_size=32), backend=backend
-        )
+        gemm = FunctionalGemm(QuantConfig(dtype=dtype, group_size=32), pe_config)
         try:
-            scalar = gemm.run_scalar(x, w)
+            scalar = _reference(gemm, x, w)
         except (TypeError, ValueError) as exc:
             with pytest.raises(type(exc)):
                 gemm.run(x, w)
             return
+        task = gemm._task(x, pack_tensor(w, gemm.config))
+        assert select_path(task) == path
         _assert_same_execution(scalar, gemm.run(x, w))
 
     @given(
@@ -139,12 +148,12 @@ class TestVectorizedEquivalence:
         dtype=st.sampled_from(
             ["bitmod_fp4", "bitmod_fp3", "int6_sym", "int8_sym", "fp4", "ant4"]
         ),
-        backend=st.sampled_from(ALL_BACKENDS),
+        case=st.sampled_from(sorted(PE_CASES)),
         m=st.integers(1, 4),
         k=st.integers(1, 5),
     )
     @settings(max_examples=30, deadline=None)
-    def test_random_shapes_bit_identical(self, seed, dtype, backend, m, k):
+    def test_random_shapes_bit_identical(self, seed, dtype, case, m, k):
         rng = np.random.default_rng(seed)
         # Mix magnitudes so exponent alignment and accumulator
         # renormalization paths are exercised.
@@ -152,32 +161,16 @@ class TestVectorizedEquivalence:
         w = rng.standard_normal((k, d)) * rng.uniform(0.05, 20.0)
         x = (rng.standard_normal((m, d)) * rng.uniform(0.1, 8.0)).astype(np.float16)
         gemm = FunctionalGemm(
-            QuantConfig(dtype=dtype, group_size=32), backend=backend
+            QuantConfig(dtype=dtype, group_size=32), PE_CASES[case][1]
         )
-        _assert_same_execution(gemm.run_scalar(x, w), gemm.run(x, w))
-
-    @pytest.mark.parametrize("dtype", ["bitmod_fp4", "int6_sym", "ant4"])
-    def test_numba_kernel_python_path_bit_identical(self, rng, dtype):
-        """The numba kernel's plain-Python twin (what JIT compiles) is
-        bit-identical even when numba itself is not installed."""
-        cfg = QuantConfig(dtype=dtype, group_size=32)
-        w = rng.standard_normal((2, 64))
-        x = rng.standard_normal((2, 64)).astype(np.float16)
-        gemm = FunctionalGemm(cfg)
-        task = GemmTask(
-            x=gemm._validated_shapes(x, w.shape),
-            packed=pack_tensor(w, cfg),
-            dtype=cfg.resolve_dtype(),
-            pe_config=gemm.pe.config,
-        )
-        _assert_same_execution(gemm.run_scalar(x, w), NumbaBackend().run(task))
+        _assert_same_execution(_reference(gemm, x, w), gemm.run(x, w))
 
     def test_asymmetric_rejection_matches(self, rng):
         w = rng.standard_normal((2, 64))
         x = rng.standard_normal((1, 64)).astype(np.float16)
         gemm = FunctionalGemm(QuantConfig(dtype="int5_asym", group_size=32))
         with pytest.raises(TypeError, match="zero-point"):
-            gemm.run_scalar(x, w)
+            _reference(gemm, x, w)
         with pytest.raises(TypeError, match="zero-point"):
             gemm.run(x, w)
 
@@ -186,7 +179,7 @@ class TestVectorizedEquivalence:
         w = rng.standard_normal((3, 200))
         x = rng.standard_normal((2, 200)).astype(np.float16)
         gemm = FunctionalGemm(QuantConfig(dtype="bitmod_fp4"))
-        _assert_same_execution(gemm.run_scalar(x, w), gemm.run(x, w))
+        _assert_same_execution(_reference(gemm, x, w), gemm.run(x, w))
 
     def test_run_packed_reuses_decode_cache(self, rng):
         w = rng.standard_normal((2, 128))
@@ -207,7 +200,7 @@ class TestVectorizedEquivalence:
         w = rng.standard_normal((2, 32))
         x = (rng.standard_normal((2, 32)) * 1e-7).astype(np.float16)
         gemm = FunctionalGemm(QuantConfig(dtype="int6_sym", group_size=32))
-        _assert_same_execution(gemm.run_scalar(x, w), gemm.run(x, w))
+        _assert_same_execution(_reference(gemm, x, w), gemm.run(x, w))
 
     def test_extreme_magnitude_mix_bit_identical(self, rng):
         """Max-magnitude and subnormal activations in one group force
@@ -218,4 +211,4 @@ class TestVectorizedEquivalence:
         x[0, 1::2] = np.float16(6e-8)
         x[1, :16] = np.float16(-60000.0)
         gemm = FunctionalGemm(QuantConfig(dtype="int8_sym", group_size=32))
-        _assert_same_execution(gemm.run_scalar(x, w), gemm.run(x, w))
+        _assert_same_execution(_reference(gemm, x, w), gemm.run(x, w))
