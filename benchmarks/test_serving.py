@@ -1,12 +1,14 @@
 """Serving-path benchmarks: decode throughput and scheduler capacity.
 
-Times the two claims the serving subsystem makes — incremental
-KV-cache decode beats repeated full forwards, and the continuous
-batcher sustains multi-request throughput — and writes the measured
-numbers to ``BENCH_serve.json`` next to this file.
+Times the claims the serving subsystem makes — incremental KV-cache
+decode beats repeated full forwards, the continuous batcher sustains
+multi-request throughput, and one batched decode forward per step
+scales tok/s with the batch — and writes the measured numbers to
+``BENCH_serve.json`` next to this file.
 """
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -28,6 +30,11 @@ from repro.serve import (
 _RESULTS_PATH = Path(__file__).parent / "BENCH_serve.json"
 _PROMPT_LEN = 48
 _GEN_LEN = 48
+#: Batch sizes, prompt length and output length of the decode scaling
+#: record.
+_SCALING_BATCHES = (1, 8, 32)
+_SCALING_PROMPT = 16
+_SCALING_NEW = 33
 
 _results = {}
 
@@ -103,6 +110,59 @@ def test_batch_scheduler_throughput(engine):
         "total_tokens_per_s": m.total_tokens / wall_s,
         "ttft_p95_s": m.ttft.percentile(95),
         "latency_p95_s": m.latency.percentile(95),
+    }
+
+
+def _host():
+    """nproc, numpy and BLAS of this run — a tok/s figure is only
+    comparable on the same host."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def test_decode_batch_scaling(engine):
+    """Decode tok/s through the continuous batcher at batch 1, 8, 32.
+
+    Every step decodes all running sequences in one forward, so the
+    per-step cost grows far slower than the batch; the streams must
+    still equal each request generated alone.
+    """
+    rng = np.random.default_rng(1)
+    vocab = engine.model.config.sim_vocab
+    scaling = {}
+    for batch in _SCALING_BATCHES:
+        prompts = [rng.integers(0, vocab, size=_SCALING_PROMPT) for _ in range(batch)]
+        batcher = ContinuousBatcher(engine, max_batch_tokens=batch * _SCALING_PROMPT)
+        for rid, prompt in enumerate(prompts):
+            batcher.submit(Request(rid, prompt, GenerationConfig(_SCALING_NEW), submitted_at=1.0))
+        batcher.step()  # every prompt prefills in the first step
+        t0 = time.perf_counter()
+        batcher.run_until_idle()
+        decode_s = time.perf_counter() - t0
+        tokens = batch * (_SCALING_NEW - 1)
+        scaling[str(batch)] = {
+            "decode_tokens": tokens,
+            "decode_s": decode_s,
+            "decode_tok_per_s": tokens / decode_s,
+            "step_ms": decode_s / (_SCALING_NEW - 1) * 1e3,
+        }
+        for rid in (0, batch - 1):
+            alone = engine.generate(prompts[rid], GenerationConfig(_SCALING_NEW))
+            assert batcher.finished(rid).seq.generated == alone.generated
+    rates = [scaling[str(b)]["decode_tok_per_s"] for b in _SCALING_BATCHES]
+    assert rates[-1] > rates[0], "batched decode no faster than batch 1"
+    _results["decode_batch_scaling"] = {
+        "model": engine.model.config.name,
+        "prompt_len": _SCALING_PROMPT,
+        "max_new_tokens": _SCALING_NEW,
+        "batches": scaling,
+        "host": _host(),
     }
 
 

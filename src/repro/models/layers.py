@@ -95,6 +95,10 @@ def causal_attention(
     head_dim = q.shape[-1]
     scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(head_dim)
     q_len, kv_len = q.shape[-2], k.shape[-2]
-    mask = np.triu(np.full((q_len, kv_len), -np.inf), k=1 + past_len)
-    probs = softmax(scores + mask, axis=-1)
+    if kv_len > past_len + 1:
+        # Only then is some key ahead of some query.  (A one-token
+        # decode sees its whole cache; adding an all-zero mask would
+        # change nothing.)
+        scores = scores + np.triu(np.full((q_len, kv_len), -np.inf), k=1 + past_len)
+    probs = softmax(scores, axis=-1)
     return probs @ v

@@ -16,8 +16,9 @@ Sites currently instrumented:
 ``cache.put``             after a :class:`~repro.pipeline.store.CacheStore`
                           write (ctx: ``kind``, ``key``) — ``corrupt``
                           truncates or bit-flips the entry on disk
-``serve.decode``          per decode pass in the continuous batcher
-                          (ctx: ``request``) — ``delay`` stalls a request
+``serve.decode``          once per request of a scheduler step's decode
+                          pass, before that step's batched forward
+                          (ctx: ``request``) — ``delay`` stalls the step
 ========================  ====================================================
 
 Actions:

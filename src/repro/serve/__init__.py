@@ -14,9 +14,10 @@ The deployment path the paper motivates, end to end:
     work per generated token instead of recomputing the sequence.
 ``batching``
     A continuous-batching scheduler: token-budgeted steps interleaving
-    prefills of waiting requests with decodes of running ones, with
-    strict-priority SLO tiers (``SLO_TIERS``) and queue-depth-aware
-    admission shedding.
+    prefills of waiting requests with one batched decode forward over
+    the running ones, with strict-priority SLO tiers (``SLO_TIERS``)
+    and queue-depth-aware admission shedding; a finished or expired
+    request frees its KV cache at once.
 ``prefix``
     Prefix-sharing KV reuse: a byte-budgeted LRU of block-aligned
     prompt prefixes so shared-prefix traffic skips repeated prefill.

@@ -1,12 +1,16 @@
 """Continuous batching: token-budgeted prefill/decode interleaving.
 
-The scheduler follows the vLLM iteration model: every :meth:`step`
-spends a ``max_batch_tokens`` budget, decoding each running sequence
-(one token apiece) first and admitting waiting prompts into the batch
-with whatever budget remains.  Sequences join and leave the batch at
-step granularity — a finished request frees its slot immediately, and
-a newly admitted one starts decoding on the very next step, so the
-batch never drains to refill (the "continuous" part).
+The scheduler follows the Orca / vLLM iteration model: every
+:meth:`step` spends a ``max_batch_tokens`` budget, decoding each
+running sequence (one token apiece) first and admitting waiting
+prompts into the batch with whatever budget remains.  The decode pass
+is one batched forward per engine over every sequence that got
+budget (:meth:`InferenceEngine.decode`), so a step pays each op's
+dispatch once rather than once per sequence.  Sequences join and leave
+the batch at step granularity — a finished or expired request frees
+its slot and its KV cache immediately, and a newly admitted one starts
+decoding on the very next step, so the batch never drains to refill
+(the "continuous" part).
 
 Requests carry an SLO *tier* (:data:`SLO_TIERS`: ``interactive`` >
 ``standard`` > ``batch``).  The scheduler is strict-priority across
@@ -262,40 +266,27 @@ class ContinuousBatcher:
             # Decode pass: one token per running sequence, highest SLO
             # tier first so a scarce budget never starves
             # latency-critical decodes behind batch work.  Within one
-            # tier the deque rotates so the budget round-robins fairly
+            # tier the queue rotates so the budget round-robins fairly
             # instead of starving the tail.
-            classes: Dict[int, Deque[RequestState]] = {}
+            classes: Dict[int, List[RequestState]] = {}
             for state in self._running:
-                classes.setdefault(state.priority, deque()).append(state)
-            self._running = deque()
-            for priority in sorted(classes, reverse=True):
-                tier_queue = classes[priority]
-                still_running: Deque[RequestState] = deque()
-                cut = False
-                for _ in range(len(tier_queue)):
-                    state = tier_queue.popleft()
-                    if budget < 1:
-                        still_running.append(state)
-                        cut = True
-                        continue
-                    budget -= 1
-                    with (
-                        TRACER.span("serve.decode", request=state.request_id)
-                        if traced
-                        else NOOP_SPAN
-                    ):
-                        if faults.enabled():
-                            faults.fire("serve.decode", request=state.request_id)
-                        (state.engine or self.engine).decode(state.seq)
-                    report.decoded.append(state.request_id)
-                    report.decode_tokens += 1
-                    if state.seq.done:
-                        self._finish(state, report)
-                    else:
-                        still_running.append(state)
-                if cut and still_running:
+                classes.setdefault(state.priority, []).append(state)
+            tiers = [classes[p] for p in sorted(classes, reverse=True)]
+            picked: List[RequestState] = []
+            cut: List[bool] = []
+            for tier_queue in tiers:
+                take = min(budget, len(tier_queue))
+                picked.extend(tier_queue[:take])
+                cut.append(take < len(tier_queue))
+                budget -= take
+            self._decode(picked, report)
+            running: Deque[RequestState] = deque()
+            for tier_queue, tier_cut in zip(tiers, cut):
+                still_running = deque(s for s in tier_queue if not s.seq.done)
+                if tier_cut and still_running:
                     still_running.rotate(-1)
-                self._running.extend(still_running)
+                running.extend(still_running)
+            self._running = running
 
             # Admission pass: prefill waiting prompts with leftover
             # budget, earliest request of the highest waiting tier
@@ -356,6 +347,30 @@ class ContinuousBatcher:
         return reports
 
     # ------------------------------------------------------------------
+    def _decode(self, picked: List[RequestState], report: StepReport) -> None:
+        """Advance every picked request by one token: one batched
+        decode per engine (two after a hot swap), in pick order."""
+        groups: Dict[int, List[RequestState]] = {}
+        for state in picked:
+            groups.setdefault(id(state.engine or self.engine), []).append(state)
+        for group in groups.values():
+            ids = [state.request_id for state in group]
+            with (
+                TRACER.span("serve.decode", batch=len(group), requests=ids)
+                if TRACER.enabled
+                else NOOP_SPAN
+            ):
+                if faults.enabled():
+                    for request_id in ids:
+                        faults.fire("serve.decode", request=request_id)
+                (group[0].engine or self.engine).decode([s.seq for s in group])
+        for state in picked:
+            report.decoded.append(state.request_id)
+            report.decode_tokens += 1
+            if state.seq.done:
+                self._finish(state, report)
+
+    # ------------------------------------------------------------------
     def _expire_overdue(self, report: StepReport) -> None:
         """Cancel every queued/running request whose deadline passed.
 
@@ -372,6 +387,7 @@ class ContinuousBatcher:
             ]
             for state in overdue:
                 queue.remove(state)
+                state.seq.release()
                 state.expired = True
                 state.finished_at = now
                 self._expired[state.request_id] = state
@@ -380,6 +396,7 @@ class ContinuousBatcher:
 
     # ------------------------------------------------------------------
     def _finish(self, state: RequestState, report: StepReport) -> None:
+        state.seq.release()
         state.finished_at = self.clock()
         self.metrics.completed += 1
         latency = state.finished_at - state.request.submitted_at

@@ -6,14 +6,17 @@ independent sequences through it.  Each sequence carries its own
 :class:`~repro.models.transformer.KVCache`, so a decode step costs a
 single-position forward pass — O(1) in the generated length — where
 the monolithic ``CausalLM.logits`` path recomputes the whole sequence
-every token.
+every token.  :meth:`InferenceEngine.decode` advances a whole list of
+sequences with one batched forward; each sequence's logits row is the
+one a batch-1 forward would give, byte for byte, so what a request
+generates does not depend on who it is batched with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,7 +52,8 @@ class SequenceState:
 
     @property
     def prefilled(self) -> bool:
-        return self.cache is not None
+        # Prefill always samples the first token.
+        return bool(self.generated)
 
     @property
     def done(self) -> bool:
@@ -62,6 +66,19 @@ class SequenceState:
     @property
     def total_len(self) -> int:
         return len(self.prompt) + len(self.generated)
+
+    @property
+    def kv_capacity(self) -> int:
+        """Positions the cache ever holds: the prompt plus every
+        generated token but the last, which is never fed back."""
+        return len(self.prompt) + self.generation.max_new_tokens - 1
+
+    def release(self) -> None:
+        """Free the KV cache (on finish or expiry); the generated
+        tokens stay readable."""
+        if self.cache is not None:
+            self.cache.release()
+            self.cache = None
 
 
 class InferenceEngine:
@@ -177,11 +194,13 @@ class InferenceEngine:
         hit = share.lookup(seq.prompt) if share is not None else None
         if hit is not None:
             length, snapshot = hit
-            cache = KVCache.from_snapshot(snapshot)
+            cache = KVCache.from_snapshot(snapshot, capacity=seq.kv_capacity)
             logits = self.model.logits(seq.prompt[length:], cache=cache)
             seq.prefix_hit_tokens = length
         else:
-            logits, cache = self.model.prefill(seq.prompt, kv_quant=self.kv_quant)
+            logits, cache = self.model.prefill(
+                seq.prompt, kv_quant=self.kv_quant, capacity=seq.kv_capacity
+            )
         seq.cache = cache
         if share is not None:
             share.insert(seq.prompt, cache)
@@ -189,16 +208,36 @@ class InferenceEngine:
         seq.generated.append(token)
         return token
 
-    def decode(self, seq: SequenceState) -> int:
-        """Extend the sequence by one token through the KV cache."""
-        if not seq.prefilled:
-            raise RuntimeError("prefill before decoding")
-        if seq.done:
-            raise RuntimeError("sequence already finished")
-        row = self.model.decode_step(np.array([seq.last_token]), seq.cache)[0]
-        token = self._sample(row, seq.generation.temperature)
-        seq.generated.append(token)
-        return token
+    def decode(self, seqs: Sequence[SequenceState]) -> List[int]:
+        """Extend each sequence by one token; returns the new tokens.
+
+        All of ``seqs`` go through one batched forward against their own
+        KV caches (a single sequence is the batch-1 case).  Tokens are
+        then sampled in list order, so a tempered batch draws from the
+        engine RNG in the same order as decoding the sequences one by
+        one would.
+        """
+        if len({id(seq) for seq in seqs}) != len(seqs):
+            raise ValueError("a sequence appears twice in one decode batch")
+        for seq in seqs:
+            if not seq.prefilled:
+                raise RuntimeError("prefill before decoding")
+            if seq.done:
+                raise RuntimeError("sequence already finished")
+            if seq.cache is None:
+                raise RuntimeError("sequence's KV cache was released")
+        if not seqs:
+            return []
+        rows = self.model.decode_step(
+            np.array([seq.last_token for seq in seqs]),
+            [seq.cache for seq in seqs],
+        )
+        tokens = []
+        for seq, row in zip(seqs, rows):
+            token = self._sample(row, seq.generation.temperature)
+            seq.generated.append(token)
+            tokens.append(token)
+        return tokens
 
     def generate(
         self, prompt: np.ndarray, generation: GenerationConfig = GenerationConfig()
@@ -207,7 +246,7 @@ class InferenceEngine:
         seq = self.start_sequence(prompt, generation)
         self.prefill(seq)
         while not seq.done:
-            self.decode(seq)
+            self.decode([seq])
         return seq
 
     def _sample(self, logits_row: np.ndarray, temperature: float) -> int:

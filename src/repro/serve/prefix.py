@@ -21,12 +21,13 @@ Correctness contract
 
 Memory
     Entries hold copied slices and share nothing with live sequences
-    (:meth:`KVCache.append` concatenates into fresh arrays, so adopted
-    snapshot arrays are never written).  The cache is a byte-budgeted
-    LRU like the kernel decode cache: ``$REPRO_PREFIX_CACHE_MB``
-    (default 64) bounds it, oversize prefixes pass through uncached,
-    and hit/miss/insert/eviction counts mirror into :mod:`repro.obs`
-    (``serve.prefix_cache.*`` counters + ``serve.prefix_cache.bytes``).
+    (a :class:`KVCache` seeded from a snapshot copies it into a buffer
+    of its own at its first append, so snapshot arrays are never
+    written).  The cache is a byte-budgeted LRU like the kernel decode
+    cache: ``$REPRO_PREFIX_CACHE_MB`` (default 64) bounds it, oversize
+    prefixes pass through uncached, and hit/miss/insert/eviction counts
+    mirror into :mod:`repro.obs` (``serve.prefix_cache.*`` counters +
+    ``serve.prefix_cache.bytes``).
 """
 
 from __future__ import annotations

@@ -41,17 +41,28 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.models.config import ModelConfig
-from repro.models.layers import (
+# Attention runs in the shared ``transformer.attend``; this module still
+# binds ``causal_attention`` so every op name the models use resolves in
+# both model modules (``perfbench/tracing.py`` wraps them per module).
+from repro.models.layers import (  # noqa: F401
     apply_rope,
     causal_attention,
     gelu,
     layer_norm,
     linear,
     rms_norm,
-    rope_cache,
     silu,
 )
-from repro.models.transformer import KVCache, _LN_FAMILIES
+from repro.models.transformer import (
+    _LN_FAMILIES,
+    KVCache,
+    RopeTable,
+    attend,
+    decode_tokens,
+    new_positions,
+    row_caches,
+    sinusoidal_positions,
+)
 from repro.quant.kv import KVQuantConfig
 from repro.shard.collective import Collective
 from repro.shard.errors import ShardError
@@ -78,11 +89,12 @@ def check_kv_quant(kv_quant: Optional[KVQuantConfig]) -> None:
 
 
 class ShardedKVCache:
-    """A grid of per-device :class:`KVCache` objects.
+    """A grid of per-device :class:`KVCache` objects for one sequence.
 
     ``caches[stage][rank]`` holds the local layers x local KV heads of
     that device.  Layer indices inside each stage cache are local
-    (0-based within the stage's range).
+    (0-based within the stage's range).  Every device cache reserves
+    ``capacity`` positions at its first write (see :class:`KVCache`).
     """
 
     def __init__(
@@ -90,12 +102,13 @@ class ShardedKVCache:
         mesh: DeviceMesh,
         layer_counts: List[int],
         quant: Optional[KVQuantConfig] = None,
+        capacity: int = 0,
     ):
         check_kv_quant(quant)
         self.mesh = mesh
         self.quant = quant
         self.caches: List[List[KVCache]] = [
-            [KVCache(n, quant=quant) for _ in range(mesh.tp)]
+            [KVCache(n, quant=quant, capacity=capacity) for _ in range(mesh.tp)]
             for n in layer_counts
         ]
 
@@ -106,6 +119,12 @@ class ShardedKVCache:
     @property
     def memory_bytes(self) -> int:
         return sum(c.memory_bytes for row in self.caches for c in row)
+
+    def release(self) -> None:
+        """Drop every device's buffers; the cache is empty afterwards."""
+        for row in self.caches:
+            for cache in row:
+                cache.release()
 
 
 class ShardedCausalLM:
@@ -135,7 +154,7 @@ class ShardedCausalLM:
         self.seed = seed
         self._use_layernorm = config.family in _LN_FAMILIES
         self._use_rope = config.family != "opt"
-        self._rope = None
+        self._rope = RopeTable(config.sim_head_dim())
         self._ranges = mesh.layer_ranges(config.sim_layers)
         #: Concatenated per-rank weight blocks, keyed (stage, name) —
         #: the operand of the fused (shape-preserving) rank GEMMs.
@@ -175,19 +194,14 @@ class ShardedCausalLM:
             return layer_norm(x, gain)
         return rms_norm(x, gain)
 
-    def _positions(self, seq: int, hidden: int) -> np.ndarray:
-        # Identical to CausalLM._positions — the OPT sinusoidal stand-in.
-        pos = np.arange(seq)[:, None]
-        dim = np.arange(hidden // 2)[None, :]
-        angle = pos / 10000 ** (2 * dim / hidden)
-        out = np.zeros((seq, hidden))
-        out[:, 0::2] = np.sin(angle)
-        out[:, 1::2] = np.cos(angle)
-        return 0.02 * out
-
-    def fresh_cache(self, kv_quant: Optional[KVQuantConfig] = None) -> ShardedKVCache:
+    def fresh_cache(
+        self, kv_quant: Optional[KVQuantConfig] = None, capacity: int = 0
+    ) -> ShardedKVCache:
         return ShardedKVCache(
-            self.mesh, [hi - lo for lo, hi in self._ranges], quant=kv_quant
+            self.mesh,
+            [hi - lo for lo, hi in self._ranges],
+            quant=kv_quant,
+            capacity=capacity,
         )
 
     # ------------------------------------------------------------------
@@ -199,8 +213,7 @@ class ShardedCausalLM:
         prefix: str,
         cos,
         sin,
-        past: int,
-        cache: Optional[ShardedKVCache],
+        caches: Optional[List[ShardedKVCache]],
         batch: int,
         seq: int,
     ) -> np.ndarray:
@@ -222,13 +235,8 @@ class ShardedCausalLM:
             if self._use_rope:
                 q = apply_rope(q, cos, sin)
                 k = apply_rope(k, cos, sin)
-            if cache is not None:
-                k, v = cache.caches[stage][rank].append(local_layer, k, v)
-            if kv_heads != heads:
-                rep = heads // kv_heads
-                k = np.repeat(k, rep, axis=1)
-                v = np.repeat(v, rep, axis=1)
-            attn = causal_attention(q, k, v, past_len=past)
+            device = None if caches is None else [c.caches[stage][rank] for c in caches]
+            attn = attend(q, k, v, device, local_layer)
             parts.append(attn.transpose(0, 2, 1, 3).reshape(batch, seq, -1))
         return self._row_parallel(stage, prefix + "o_proj", parts)
 
@@ -264,33 +272,25 @@ class ShardedCausalLM:
         return self._row_parallel(stage, prefix + "fc2", parts)
 
     # ------------------------------------------------------------------
-    def hidden_states(
-        self, tokens: np.ndarray, cache: Optional[ShardedKVCache] = None
-    ) -> np.ndarray:
+    def hidden_states(self, tokens: np.ndarray, cache=None) -> np.ndarray:
+        """Final hidden states; ``cache`` is one :class:`ShardedKVCache`
+        or a list of one per row, as in
+        :meth:`~repro.models.transformer.CausalLM.hidden_states`."""
         cfg, mesh = self.config, self.mesh
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
         batch, seq = tokens.shape
         h = cfg.sim_hidden
-        head_dim = cfg.sim_head_dim()
-        past = cache.seq_len if cache is not None else 0
-        total = past + seq
+        caches = row_caches(cache, batch)
+        positions = new_positions(caches, batch, seq)
 
         x = self._w(0, 0, "embed")[tokens] * np.sqrt(h)
-        if not self._use_rope:
-            x = x + self._positions(total, h)[None, past:]
-
         cos = sin = None
         if self._use_rope:
-            if self._rope is None or self._rope[0].shape[0] < total:
-                grown = (
-                    total
-                    if self._rope is None
-                    else max(total, 2 * self._rope[0].shape[0])
-                )
-                self._rope = rope_cache(grown, head_dim)
-            cos, sin = self._rope[0][past:total], self._rope[1][past:total]
+            cos, sin = self._rope.rows(positions)
+        else:
+            x = x + sinusoidal_positions(positions, h)
 
         for stage, (lo, hi) in enumerate(self._ranges):
             if stage > 0:
@@ -299,7 +299,7 @@ class ShardedCausalLM:
                 prefix = f"layers.{layer}."
                 xn = self._norm(x, self._w(stage, 0, prefix + "attn_norm"))
                 x = x + self._attention(
-                    stage, layer - lo, xn, prefix, cos, sin, past, cache,
+                    stage, layer - lo, xn, prefix, cos, sin, caches,
                     batch, seq,
                 )
                 xn = self._norm(x, self._w(stage, 0, prefix + "mlp_norm"))
@@ -308,9 +308,7 @@ class ShardedCausalLM:
         last = mesh.pp - 1
         return self._norm(x, self._w(last, 0, "final_norm"))
 
-    def logits(
-        self, tokens: np.ndarray, cache: Optional[ShardedKVCache] = None
-    ) -> np.ndarray:
+    def logits(self, tokens: np.ndarray, cache=None) -> np.ndarray:
         """Vocabulary logits ``(batch, seq, vocab)`` — vocab-parallel
         LM head, logits all-gathered across ranks."""
         x = self.hidden_states(tokens, cache=cache)
@@ -330,20 +328,12 @@ class ShardedCausalLM:
         self,
         tokens: np.ndarray,
         kv_quant: Optional[KVQuantConfig] = None,
+        capacity: int = 0,
     ) -> Tuple[np.ndarray, ShardedKVCache]:
-        cache = self.fresh_cache(kv_quant)
+        cache = self.fresh_cache(kv_quant, capacity=capacity)
         return self.logits(tokens, cache=cache), cache
 
-    def decode_step(
-        self, tokens: np.ndarray, cache: ShardedKVCache
-    ) -> np.ndarray:
-        tokens = np.asarray(tokens)
-        if tokens.ndim == 0:
-            tokens = tokens[None]
-        if tokens.ndim == 1:
-            tokens = tokens[:, None]
-        if tokens.shape[1] != 1:
-            raise ValueError(
-                "decode_step consumes exactly one new token per sequence"
-            )
-        return self.logits(tokens, cache=cache)[:, -1]
+    def decode_step(self, tokens: np.ndarray, cache) -> np.ndarray:
+        """One new token per sequence, one :class:`ShardedKVCache` per
+        sequence (a bare cache for batch 1); one batched forward."""
+        return self.logits(decode_tokens(tokens), cache=cache)[:, -1]

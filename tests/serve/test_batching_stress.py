@@ -13,7 +13,9 @@ seeded-random and hypothesis-generated schedules:
 * **no priority starvation** — if a running request was skipped in a
   step's decode pass, no strictly-lower-tier request was decoded in
   that same step (strict priority holds step by step, so a high tier
-  can never wait on ``batch`` work).
+  can never wait on ``batch`` work);
+* **one forward per engine** — a step that decodes makes exactly one
+  ``decode`` call per engine it decodes on (two after a hot swap).
 """
 
 import numpy as np
@@ -26,7 +28,6 @@ from repro.serve.engine import GenerationConfig, SequenceState
 from repro.serve.errors import Overloaded
 
 MOD = 997
-_PREFILLED = object()
 
 
 def _token(prompt_sum: int, i: int) -> int:
@@ -34,7 +35,13 @@ def _token(prompt_sum: int, i: int) -> int:
 
 
 class FakeEngine:
-    """Deterministic token source satisfying the batcher's engine API."""
+    """Deterministic token source satisfying the batcher's engine API.
+
+    ``decode_calls`` counts calls to the list-taking :meth:`decode`.
+    """
+
+    def __init__(self):
+        self.decode_calls = 0
 
     def start_sequence(self, prompt, generation=GenerationConfig()):
         prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
@@ -43,11 +50,14 @@ class FakeEngine:
         return SequenceState(prompt=prompt, generation=generation)
 
     def prefill(self, seq):
-        seq.cache = _PREFILLED
         seq.generated.append(_token(int(seq.prompt.sum()), 0))
 
-    def decode(self, seq):
-        seq.generated.append(_token(int(seq.prompt.sum()), len(seq.generated)))
+    def decode(self, seqs):
+        self.decode_calls += 1
+        assert seqs, "empty decode batch"
+        for seq in seqs:
+            seq.generated.append(_token(int(seq.prompt.sum()), len(seq.generated)))
+        return [seq.generated[-1] for seq in seqs]
 
 
 def expected_stream(prompt, max_new):
@@ -92,7 +102,11 @@ def drive_schedule(specs, max_batch_tokens, seed, max_waiting=8):
             rid += 1
 
         pre_running = [(s.request_id, s.priority) for s in batcher._running]
+        calls = batcher.engine.decode_calls
         report = batcher.step()
+
+        # One batched decode call covers the whole decode pass.
+        assert batcher.engine.decode_calls - calls == (1 if report.decoded else 0)
 
         # Budget respected.
         assert report.batch_tokens <= max_batch_tokens
@@ -187,6 +201,34 @@ class TestSchedulerProperties:
         assert interactive_steps > 0
         batcher.run_until_idle()
         assert batcher.metrics.completed == 3
+
+
+    def test_one_decode_call_per_engine_after_swap(self):
+        """After a hot swap, a step decodes the old engine's requests
+        and the new engine's in one call each."""
+        old, new = FakeEngine(), FakeEngine()
+        batcher = ContinuousBatcher(old, max_batch_tokens=64)
+        prompts = {}
+        for rid in range(3):
+            prompts[rid] = np.array([rid + 1, 7])
+            batcher.submit(Request(request_id=rid, prompt=prompts[rid],
+                                   generation=GenerationConfig(max_new_tokens=6),
+                                   submitted_at=1.0))
+        batcher.step()  # prefill on the old engine
+        assert batcher.swap_engine(new) is old
+        for rid in range(3, 5):
+            prompts[rid] = np.array([rid + 1, 9])
+            batcher.submit(Request(request_id=rid, prompt=prompts[rid],
+                                   generation=GenerationConfig(max_new_tokens=6),
+                                   submitted_at=1.0))
+        batcher.step()  # old engine decodes; new engine prefills
+        assert (old.decode_calls, new.decode_calls) == (1, 0)
+        report = batcher.step()
+        assert sorted(report.decoded) == [0, 1, 2, 3, 4]
+        assert (old.decode_calls, new.decode_calls) == (2, 1)
+        batcher.run_until_idle()
+        for rid, prompt in prompts.items():
+            assert batcher.finished(rid).seq.generated == expected_stream(prompt, 6)
 
 
 class TestAdmissionShedding:

@@ -58,16 +58,23 @@ class TestDecodeMatchesFullForward:
             )
 
     def test_batched_decode(self, model):
-        """decode_step handles several independent sequences at once."""
+        """decode_step handles several independent sequences at once,
+        each against its own cache (of a different length)."""
         rng = np.random.default_rng(1)
-        prompts = rng.integers(0, model.config.sim_vocab, size=(3, 8))
-        logits, cache = model.prefill(prompts)
+        prompts = [rng.integers(0, model.config.sim_vocab, size=n) for n in (8, 5, 11)]
+        caches = [model.prefill(p)[1] for p in prompts]
         next_tokens = rng.integers(0, model.config.sim_vocab, size=3)
-        rows = model.decode_step(next_tokens, cache)
+        rows = model.decode_step(next_tokens, caches)
         assert rows.shape == (3, model.config.sim_vocab)
         for b in range(3):
             full = model.logits(np.concatenate([prompts[b], next_tokens[b : b + 1]]))
             np.testing.assert_allclose(rows[b], full[0, -1], rtol=1e-8, atol=1e-8)
+            assert caches[b].seq_len == len(prompts[b]) + 1
+
+    def test_decode_rejects_mismatched_caches(self, model):
+        caches = [model.prefill(np.arange(4))[1]]
+        with pytest.raises(ValueError, match="caches for a batch of 2"):
+            model.decode_step(np.array([1, 2]), caches)
 
 
 class TestQuantizedKVCache:
@@ -152,10 +159,10 @@ class TestEngine:
         engine = InferenceEngine(model)
         seq = engine.start_sequence(np.arange(4), GenerationConfig(max_new_tokens=1))
         with pytest.raises(RuntimeError):
-            engine.decode(seq)  # decode before prefill
+            engine.decode([seq])  # decode before prefill
         engine.prefill(seq)
         with pytest.raises(RuntimeError):
             engine.prefill(seq)  # double prefill
         assert seq.done
         with pytest.raises(RuntimeError):
-            engine.decode(seq)  # decode after completion
+            engine.decode([seq])  # decode after completion

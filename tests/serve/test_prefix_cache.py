@@ -181,7 +181,7 @@ class TestEngineIntegration:
             seq = shared.start_sequence(prompt, gen)
             shared.prefill(seq)
             while not seq.done:
-                shared.decode(seq)
+                shared.decode([seq])
             assert seq.generated == baseline
             reused += seq.prefix_hit_tokens
         stats = shared.prefix_cache.stats()

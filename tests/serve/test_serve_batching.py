@@ -120,3 +120,49 @@ class TestScheduling:
         batcher.submit(_mk_request(0, prompt_len=6, max_new=2, t0=0.0))
         batcher.run_until_idle()
         assert 0 <= batcher.metrics.ttft.percentile(50) < 60.0
+
+
+class TestKVRelease:
+    def test_finished_requests_free_their_caches(self, engine):
+        batcher = ContinuousBatcher(engine, max_batch_tokens=32)
+        for rid in range(4):
+            batcher.submit(_mk_request(rid, prompt_len=6, max_new=1 + rid))
+        batcher.run_until_idle()
+        for rid in range(4):
+            seq = batcher.finished(rid).seq
+            assert seq.cache is None
+            assert len(seq.generated) == 1 + rid  # the tokens stay readable
+
+    def test_expired_requests_free_their_caches(self, engine):
+        clock = [0.0]
+        batcher = ContinuousBatcher(engine, max_batch_tokens=32, clock=lambda: clock[0])
+        request = _mk_request(0, prompt_len=6, max_new=8)
+        request.deadline_s = 0.5
+        batcher.submit(request)
+        batcher.step()  # prefilled: running with a live cache
+        state = batcher._running[0]
+        assert state.seq.cache is not None
+        clock[0] = 1.0
+        report = batcher.step()
+        assert report.expired == [0]
+        assert state.seq.cache is None
+        with pytest.raises(RuntimeError, match="released"):
+            engine.decode([state.seq])
+
+    def test_one_decode_forward_per_step(self, engine, monkeypatch):
+        """Every running sequence advances in one batched forward."""
+        calls = []
+        original = engine.model.decode_step
+
+        def counting(tokens, caches):
+            calls.append(len(caches))
+            return original(tokens, caches)
+
+        monkeypatch.setattr(engine.model, "decode_step", counting)
+        batcher = ContinuousBatcher(engine, max_batch_tokens=64)
+        for rid in range(5):
+            batcher.submit(_mk_request(rid, prompt_len=6, max_new=4))
+        reports = batcher.run_until_idle()
+        decoding = [len(r.decoded) for r in reports if r.decoded]
+        assert calls == decoding
+        assert max(calls) == 5
